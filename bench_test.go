@@ -12,6 +12,7 @@ package gaussrange
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -590,7 +591,8 @@ func BenchmarkHeteroTargets(b *testing.B) {
 }
 
 // BenchmarkQuadformEvaluators compares the three qualification-probability
-// methods on one anisotropic noncentral form.
+// methods on one anisotropic noncentral form, and the exact evaluator's
+// decide stop against its value path across the γ range.
 func BenchmarkQuadformEvaluators(b *testing.B) {
 	lambda := []float64{90, 10}
 	offs := []float64{0.7, 1.9}
@@ -602,6 +604,41 @@ func BenchmarkQuadformEvaluators(b *testing.B) {
 			}
 		}
 	})
+	// decide and qualification run the default exact evaluator over the same
+	// candidates — uniform in the query's δ + 3σ box at paper Σ·γ, δ 25 —
+	// through the threshold entry point (θ 0.01) and the value path: one op
+	// is one candidate.
+	for _, gamma := range []float64{1.5, 10, 100} {
+		dist, err := gauss.New(vecmat.Vector{0, 0}, experiments.PaperSigmaBase().Scale(gamma))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := mc.NewRNG(5)
+		cands := make([]vecmat.Vector, 256)
+		for i := range cands {
+			o := make(vecmat.Vector, 2)
+			for j := range o {
+				half := 25 + 3*dist.SigmaAxis(j)
+				o[j] = (2*rng.Float64() - 1) * half
+			}
+			cands[i] = o
+		}
+		ev := quadform.NewExact()
+		b.Run(fmt.Sprintf("decide/gamma=%g", gamma), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ev.Decide(dist, cands[i%len(cands)], 25, 0.01); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("qualification/gamma=%g", gamma), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.Qualification(dist, cands[i%len(cands)], 25); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("imhof", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := quadform.ImhofCDF(lambda, offs, t); err != nil {

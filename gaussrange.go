@@ -526,9 +526,12 @@ type Stats struct {
 	AcceptedBF   int           // accepted within the α⊥ bound (no integration)
 	Integrations int           // candidates that needed probability computation
 	NodesRead    int           // base-index nodes visited (either representation)
-	IndexTime    time.Duration // Phase 1
-	FilterTime   time.Duration // Phase 2
-	ProbTime     time.Duration // Phase 3
+	IndexTime    time.Duration // Phase 1, with the base index's Phase 2 fused in by default
+	// FilterTime times the overlay merge: Phases 1 and 2 over inserts not yet
+	// folded into the base index. Only under WithPointerPhase1 does it cover
+	// all of Phase 2.
+	FilterTime time.Duration
+	ProbTime   time.Duration // Phase 3
 	// Packed front-half accounting: NodesReadPacked is how many of the
 	// NodesRead visits were served by the cache-linear packed mirror (0 when
 	// the pointer-tree front half ran), OverlayScanned how many overlay

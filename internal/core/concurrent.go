@@ -132,7 +132,7 @@ func (p *Plan) ExecuteWith(ctx context.Context, eval Evaluator, workers int) (*R
 				if i >= n {
 					return
 				}
-				pr, err := evs[i].Qualification(p.dist, snap.point(needEval[i]), p.delta)
+				ok, err := p.decide(evs[i], snap.point(needEval[i]))
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
@@ -142,7 +142,7 @@ func (p *Plan) ExecuteWith(ctx context.Context, eval Evaluator, workers int) (*R
 					cancel()
 					return
 				}
-				qualifies[i] = pr >= p.theta
+				qualifies[i] = ok
 			}
 		}()
 	}

@@ -213,7 +213,9 @@ type queryGeometry struct {
 // DecisionEvaluator is an optional Evaluator refinement that answers the
 // threshold question "is the probability at least theta?" directly —
 // sequential Monte Carlo (mc.Adaptive) decides most candidates with a small
-// fraction of the fixed budget. Search uses it when available.
+// fraction of the fixed budget, and ExactEvaluator stops Ruben's series once
+// its certified bracket clears theta. Both Phase-3 executors use it when
+// available.
 type DecisionEvaluator interface {
 	DecideQualifies(dist *gauss.Dist, o vecmat.Vector, delta, theta float64) (qualifies bool, samples int, err error)
 }

@@ -28,6 +28,16 @@ func (e *ExactEvaluator) Qualification(dist *gauss.Dist, o vecmat.Vector, delta 
 	return e.inner.Qualification(dist, o, delta)
 }
 
+// DecideQualifies reports whether Pr(‖x − o‖ ≤ delta) ≥ theta, stopping
+// Ruben's series as soon as its certified bracket settles the comparison
+// (quadform.Exact.Decide). The answer always equals Qualification's p ≥ theta
+// outside a 1e-9 band around theta, and inside it Decide falls back to that
+// very test. No samples are drawn, so the sample count is 0.
+func (e *ExactEvaluator) DecideQualifies(dist *gauss.Dist, o vecmat.Vector, delta, theta float64) (bool, int, error) {
+	ok, _, err := e.inner.Decide(dist, o, delta, theta)
+	return ok, 0, err
+}
+
 // Evaluations returns the number of qualification computations performed.
 func (e *ExactEvaluator) Evaluations() int { return e.inner.Evaluations() }
 

@@ -43,9 +43,9 @@ const (
 	// KernelTiered replaces sampling with a tiered decision pipeline: tier 0
 	// reuses the compiled BF α∥/α⊥ radii, tier 1 brackets the qualification
 	// probability with a noncentral-χ² envelope from the eigenvalue extremes
-	// of Σ, tier 2 evaluates Ruben's series with a certified truncation
-	// bound, and only candidates the exact tiers cannot certify (θ inside
-	// the error bound, or ill-conditioned Σ) fall back to a lazily drawn
+	// of Σ, tier 2 runs Ruben's series until its certified bracket clears θ,
+	// and only candidates the exact tiers cannot certify (θ inside the
+	// converged bracket, or ill-conditioned Σ) fall back to a lazily drawn
 	// shared cloud. Most candidates touch zero samples and the answer is a
 	// deterministic, seed-independent function of the query whenever tier 3
 	// never fires.

@@ -283,3 +283,56 @@ func TestExecuteEval(t *testing.T) {
 		t.Error("ExecuteEval IDs differ from Search")
 	}
 }
+
+// decideOnlyEval answers through DecideQualifies only: its value path fails,
+// so an executor that still sums full probabilities errors out.
+type decideOnlyEval struct {
+	inner   *ExactEvaluator
+	decides *atomic.Int64
+}
+
+var _ DecisionEvaluator = (*ExactEvaluator)(nil)
+
+func (d decideOnlyEval) Qualification(*gauss.Dist, vecmat.Vector, float64) (float64, error) {
+	return 0, errors.New("value path used instead of DecideQualifies")
+}
+
+func (d decideOnlyEval) DecideQualifies(dist *gauss.Dist, o vecmat.Vector, delta, theta float64) (bool, int, error) {
+	d.decides.Add(1)
+	return d.inner.DecideQualifies(dist, o, delta, theta)
+}
+
+func (d decideOnlyEval) ForkEvaluator(id uint64) Evaluator {
+	return decideOnlyEval{inner: d.inner.ForkEvaluator(id).(*ExactEvaluator), decides: d.decides}
+}
+
+// TestExecutorsPreferDecision: both Phase-3 executors, serial and the worker
+// pool, decide through DecisionEvaluator when the (forked) evaluator has it,
+// once per candidate, with the exact evaluator's answer.
+func TestExecutorsPreferDecision(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	ix := uniformIndex(t, rng, 6000, 2, 1000)
+	q := paperQuery(t, vecmat.Vector{500, 500}, 10, 25, 0.01)
+	want, err := newExactEngine(t, ix, Options{}).Search(q, StrategyAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decides atomic.Int64
+	e, err := NewEngine(ix, decideOnlyEval{inner: NewExactEvaluator(), decides: &decides}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		decides.Store(0)
+		got, err := e.SearchParallel(q, StrategyAll, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !idsEqual(got.IDs, want.IDs) {
+			t.Errorf("workers=%d: %d answers, want %d", workers, len(got.IDs), len(want.IDs))
+		}
+		if n := decides.Load(); n != int64(got.Stats.Integrations) || n == 0 {
+			t.Errorf("workers=%d: %d decisions for %d integrations", workers, n, got.Stats.Integrations)
+		}
+	}
+}

@@ -22,9 +22,6 @@ const (
 	// own floating-point error; candidates inside the band fall through to
 	// the exact tier.
 	tierEnvMargin = 1e-9
-	// tierExactMargin pads tier 2's comparison the same way, on top of
-	// Ruben's certified truncation bound.
-	tierExactMargin = 1e-9
 	// tierMaxCondition is the eigenvalue ratio λmax/λmin beyond which tier 2
 	// is skipped outright: Ruben's series converges like (1 − λmin/λmax)^k
 	// per term, so past this ratio a candidate would burn thousands of terms
@@ -38,7 +35,7 @@ const (
 //
 //	tier 0  BF radii        d(o, q) vs the compiled α∥/α⊥ spheres
 //	tier 1  χ'² envelope    bracket Pr(‖x−o‖ ≤ δ) via λmin/λmax of Σ
-//	tier 2  Ruben exact     certified series value, compared against θ
+//	tier 2  Ruben decide    series stopped once its certified bracket clears θ
 //	tier 3  shared cloud    the existing MC decide kernel, drawn lazily
 //
 // Every field is mean-independent (derived from Σ, δ, θ only), so Rebind's
@@ -222,27 +219,20 @@ func (p *Plan) tieredQualifies(o vecmat.Vector, w *tierScratch, st *PhaseStats) 
 		return false, nil
 	}
 
-	// ---- Tier 2: Ruben exact with certified truncation bound ------------
+	// ---- Tier 2: Ruben series, stopped once its bracket settles θ --------
 	if !te.skipExact {
-		pr, bound, err := w.exact.QualificationBound(p.dist, o, p.delta)
+		qual, certified, err := w.exact.Decide(p.dist, o, p.delta, te.theta)
 		switch {
 		case errors.Is(err, quadform.ErrNotConverged):
 			// Series exhausted MaxTerms — let sampling decide.
 		case err != nil:
 			return false, err
-		default:
-			margin := bound + tierExactMargin
-			if pr-margin >= te.theta {
-				st.TierExact++
-				return true, nil
-			}
-			if pr+margin < te.theta {
-				st.TierExact++
-				return false, nil
-			}
-			// θ inside the certified interval: the comparison cannot be
-			// certified, fall through to the MC fallback.
+		case certified:
+			st.TierExact++
+			return qual, nil
 		}
+		// θ inside the certified bracket even at convergence: the comparison
+		// cannot be certified, fall through to the MC fallback.
 	}
 
 	// ---- Tier 3: shared-cloud MC fallback -------------------------------

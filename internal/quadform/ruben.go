@@ -49,26 +49,78 @@ func RubenCDF(lambda, b []float64, t float64) (float64, error) {
 // estimate — the discarded mixture coefficients sum to exactly 1 − Σ aₖ and
 // each multiplies a χ² CDF no larger than the last one computed, so the
 // truncated tail is contained in [0, (1 − Σ aₖ)·F_k] and p is reported at the
-// interval midpoint. Callers comparing p against a threshold θ can therefore
-// certify the comparison whenever |p − θ| > bound.
+// interval midpoint. The bound also carries the tracked rounding error of the
+// χ² recurrence (see chiChain). Callers comparing p against a threshold θ can
+// therefore certify the comparison whenever |p − θ| > bound.
 func RubenCDFBound(lambda, b []float64, t float64) (p, bound float64, err error) {
+	var s series
+	r, err := s.run(lambda, b, t, math.NaN())
+	return r.p, r.bound, err
+}
+
+// decideGuard is the margin by which a certified bracket must clear θ before
+// Decide stops the series. The bracket already covers truncation and the χ²
+// recurrence's rounding; the guard absorbs what it does not model — the
+// rounding of the mixture coefficients and of the partial sum, and GammaP's
+// own accuracy. Against 200-bit arithmetic the coefficients stay within
+// 5e-15 relative after 2 500 terms at condition 500, so the guard leaves
+// orders of magnitude to spare.
+const decideGuard = 1e-9
+
+// seriesResult is the outcome of one series run. Value runs (θ = NaN) fill p
+// and bound and leave certified false. Decide runs set certified when the
+// bracket cleared θ by decideGuard; otherwise the series ran to convergence
+// and qualifies is the midpoint test p ≥ θ.
+type seriesResult struct {
+	p, bound             float64
+	qualifies, certified bool
+}
+
+// series holds the scratch buffers of one Ruben series evaluation so that an
+// evaluator reusing it allocates nothing per candidate.
+type series struct {
+	gamma, gammaPow, etaPow []float64
+	a                       []float64
+	// gRev holds g_1..g_k at its tail, g_i at gRev[len(gRev)−i], so the
+	// convolution for a_k is a forward inner product with a[:k].
+	gRev []float64
+}
+
+// run sums Ruben's mixture Σ aₖ·F_k with F_k = P(d/2 + k, t/2β), the χ² CDF
+// with d + 2k degrees of freedom at t/β. After every term the true CDF lies
+// in the certified bracket
+//
+//	[S − E, S + E + (1 − A)·(F_k + e_k)]
+//
+// where S is the partial sum, A = Σ aᵢ, e_k the rounding bound of F_k and E
+// = Σ aᵢ·eᵢ. With theta a number the run stops as soon as the bracket clears
+// theta by decideGuard; with theta NaN, and for brackets that never clear,
+// it stops once the tail (1 − A)·(F_k + e_k) drops below epsAbs and reports
+// the bracket midpoint.
+func (s *series) run(lambda, b []float64, t, theta float64) (seriesResult, error) {
 	d := len(lambda)
 	if d == 0 || len(b) != d {
-		return 0, 0, fmt.Errorf("quadform: need len(lambda) == len(b) > 0, got %d and %d", d, len(b))
+		return seriesResult{}, fmt.Errorf("quadform: need len(lambda) == len(b) > 0, got %d and %d", d, len(b))
 	}
 	for j, l := range lambda {
 		if l <= 0 || math.IsNaN(l) {
-			return 0, 0, fmt.Errorf("quadform: lambda[%d] = %g must be positive", j, l)
+			return seriesResult{}, fmt.Errorf("quadform: lambda[%d] = %g must be positive", j, l)
 		}
 		if math.IsNaN(b[j]) {
-			return 0, 0, fmt.Errorf("quadform: b[%d] is NaN", j)
+			return seriesResult{}, fmt.Errorf("quadform: b[%d] is NaN", j)
 		}
 	}
 	if math.IsNaN(t) {
-		return 0, 0, fmt.Errorf("quadform: t is NaN")
+		return seriesResult{}, fmt.Errorf("quadform: t is NaN")
 	}
+	decide := !math.IsNaN(theta)
 	if t <= 0 {
-		return 0, 0, nil
+		// The CDF is exactly 0: no bracket to narrow.
+		return seriesResult{qualifies: theta <= 0, certified: decide}, nil
+	}
+	if math.IsInf(t, 1) {
+		// The CDF is exactly 1.
+		return seriesResult{p: 1, qualifies: theta <= 1, certified: decide}, nil
 	}
 
 	// Scale parameter: β = min λ_j keeps all mixture coefficients a_k ≥ 0
@@ -80,75 +132,271 @@ func RubenCDFBound(lambda, b []float64, t float64) (p, bound float64, err error)
 		}
 	}
 
-	// γ_j = 1 − β/λ_j ∈ [0, 1);  η_j = b_j²·β/λ_j.
-	gamma := make([]float64, d)
-	eta := make([]float64, d)
+	// γ_j = 1 − β/λ_j ∈ [0, 1);  η_j = b_j²·β/λ_j. gammaPow[j] = γ_j^k and
+	// etaPow[j] = η_j·γ_j^{k−1} track the two geometric families in
+	// g_k = Σ γ_j^k + k·Σ η_j·γ_j^{k−1}.
+	s.gamma = grow(s.gamma, d)
+	s.gammaPow = grow(s.gammaPow, d)
+	s.etaPow = grow(s.etaPow, d)
 	var logA0 float64
 	for j := range lambda {
-		gamma[j] = 1 - beta/lambda[j]
-		eta[j] = b[j] * b[j] * beta / lambda[j]
+		s.gamma[j] = 1 - beta/lambda[j]
 		logA0 += -0.5*b[j]*b[j] + 0.5*math.Log(beta/lambda[j])
+		s.gammaPow[j] = 1 // γ_j^0; advanced before first use
+		s.etaPow[j] = b[j] * b[j] * beta / lambda[j]
+	}
+	// a_0 = e^{logA0} underflows once the Mahalanobis offset Σb² passes
+	// ≈1400, and then the mixture's mass sits hundreds of terms out. The
+	// recursion for a_k is linear, so the coefficients are kept as
+	// ã_k·e^{logScale} while they are negligible (below e^{logScaled}) and
+	// folded back into plain values once they grow past it. Terms skipped
+	// while scaled are under 1e-260 each; they are left out of the sum,
+	// which keeps it a lower bound, and out of aSum, which only widens the
+	// tail.
+	var logScale float64
+	a0 := math.Exp(logA0)
+	if logA0 < logScaled {
+		logScale, a0 = logA0, 1
+	}
+	s.a = append(s.a[:0], a0)
+
+	var chi chiChain
+	if err := chi.seed(float64(d)/2, t/(2*beta)); err != nil {
+		return seriesResult{}, err
+	}
+	var sum, sumErr, aSum float64
+	if logScale == 0 {
+		sum, sumErr, aSum = a0*chi.f, a0*chi.err, a0
 	}
 
-	// Series state. gammaPow[j] = γ_j^k, etaPow[j] = η_j·γ_j^{k−1} track the
-	// two geometric families in g_k = Σ γ_j^k + k·Σ η_j·γ_j^{k−1}.
-	a := make([]float64, 1, 64)
-	g := make([]float64, 1, 64) // g[0] unused
-	a[0] = math.Exp(logA0)
+	for k := 0; ; k++ {
+		if k > 0 {
+			// g_k = Σ_j γ_j^k + k·Σ_j η_j γ_j^{k−1}.
+			var gk float64
+			for j := 0; j < d; j++ {
+				gk += s.gammaPow[j]*s.gamma[j] + float64(k)*s.etaPow[j]
+				s.gammaPow[j] *= s.gamma[j]
+				s.etaPow[j] *= s.gamma[j]
+			}
+			s.pushG(gk, k)
 
-	gammaPow := make([]float64, d)
-	etaPow := make([]float64, d)
-	for j := range gammaPow {
-		gammaPow[j] = 1 // γ_j^0; advanced before first use
-		etaPow[j] = eta[j]
-	}
+			// a_k = (1/2k)·Σ_{r=0}^{k−1} g_{k−r}·a_r.
+			ak := dot(s.gRev[len(s.gRev)-k:], s.a[:k]) / (2 * float64(k))
+			s.a = append(s.a, ak)
+			if logScale != 0 {
+				ak = s.unscale(&logScale)
+			}
 
-	x := t / beta
-	dof := float64(d)
-
-	// First mixture term.
-	f, err := stats.ChiSquareCDF(dof, x)
-	if err != nil {
-		return 0, 0, err
-	}
-	sum := a[0] * f
-	aSum := a[0]
-
-	for k := 1; k <= MaxTerms; k++ {
-		// g_k = Σ_j γ_j^k + k·Σ_j η_j γ_j^{k−1}.
-		var gk float64
-		for j := 0; j < d; j++ {
-			gk += gammaPow[j]*gamma[j] + float64(k)*etaPow[j]
-			// Advance powers for next round.
-			gammaPow[j] *= gamma[j]
-			etaPow[j] *= gamma[j]
+			if err := chi.next(); err != nil {
+				return seriesResult{}, err
+			}
+			if logScale == 0 {
+				aSum += ak
+				sum += ak * chi.f
+				sumErr += ak * chi.err
+			}
 		}
-		g = append(g, gk)
 
-		// a_k = (1/2k)·Σ_{r=0}^{k−1} g_{k−r}·a_r.
-		var ak float64
-		for r := 0; r < k; r++ {
-			ak += g[k-r] * a[r]
+		// Every remaining coefficient sums to 1 − aSum and multiplies a CDF
+		// no larger than F_k ≤ chi.f + chi.err (the CDF decreases in dof).
+		rest := 1 - aSum
+		if rest < 0 { // rounding can push aSum past 1
+			rest = 0
 		}
-		ak /= 2 * float64(k)
-		a = append(a, ak)
-		aSum += ak
-
-		fk, err := stats.ChiSquareCDF(dof+2*float64(k), x)
-		if err != nil {
-			return 0, 0, err
+		tail := rest * (chi.f + chi.err)
+		if decide {
+			if sum-sumErr >= theta+decideGuard {
+				return seriesResult{qualifies: true, certified: true}, nil
+			}
+			if sum+sumErr+tail < theta-decideGuard {
+				return seriesResult{certified: true}, nil
+			}
 		}
-		sum += ak * fk
-
-		// Rigorous truncation bound: remaining coefficients sum to 1 − aSum
-		// and every remaining CDF factor is ≤ fk (CDF decreases in dof).
-		if tail := (1 - aSum) * fk; tail < epsAbs {
+		if tail < epsAbs {
 			// Midpoint of [sum, sum + tail]; clamping to [0, 1] can only move
 			// the report toward the true value, so tail/2 stays valid.
-			return clamp01(sum + tail/2), tail / 2, nil
+			p := clamp01(sum + tail/2)
+			return seriesResult{p: p, bound: tail/2 + sumErr, qualifies: p >= theta}, nil
+		}
+		if k == MaxTerms {
+			return seriesResult{}, ErrNotConverged
 		}
 	}
-	return 0, 0, ErrNotConverged
+}
+
+// logScaled is the log of the smallest mixture coefficient kept as a plain
+// value; see run.
+const logScaled = -600.0
+
+// unscale maintains the scaled coefficients after a new one was appended:
+// it renormalizes them before they can overflow and, once the newest true
+// coefficient reaches e^{logScaled}, folds the scale into every stored value
+// and zeroes *logScale. It returns the newest coefficient, which is a true
+// value only when *logScale is 0 on return.
+func (s *series) unscale(logScale *float64) float64 {
+	k := len(s.a) - 1
+	if s.a[k] > 1e200 {
+		for r := range s.a {
+			s.a[r] *= 1e-200
+		}
+		*logScale += 200 * math.Ln10
+	}
+	if *logScale+math.Log(s.a[k]) < logScaled {
+		return s.a[k]
+	}
+	// *logScale ≥ logScaled − ln 1e200 > −1061, so e^{logScale/2} is a
+	// normal number and two multiplications fold the scale in.
+	f := math.Exp(*logScale / 2)
+	for r := range s.a {
+		s.a[r] *= f
+		s.a[r] *= f
+	}
+	*logScale = 0
+	return s.a[k]
+}
+
+// pushG stores g_k, growing gRev at the front when it is full.
+func (s *series) pushG(gk float64, k int) {
+	n := len(s.gRev)
+	if k > n {
+		grown := make([]float64, 2*n+64)
+		copy(grown[len(grown)-(k-1):], s.gRev[n-(k-1):])
+		s.gRev, n = grown, len(grown)
+	}
+	s.gRev[n-k] = gk
+}
+
+// dot returns Σ x[i]·y[i] over len(x) ≤ len(y) terms: the O(k) inner
+// product that dominates a long series. Four partial sums break the
+// floating-point add chain.
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		s0 += x[i] * y[i]
+		s1 += x[i+1] * y[i+1]
+		s2 += x[i+2] * y[i+2]
+		s3 += x[i+3] * y[i+3]
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i] * y[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// grow returns buf resized to n, reallocating only when it is too small.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+const (
+	// ulp is 2⁻⁵², twice the unit roundoff: charging it per floating-point
+	// operation leaves room for the second-order terms of the error model.
+	ulp = 0x1p-52
+	// gammaPRel is the relative accuracy assumed of stats.GammaP's series
+	// and continued fraction (tolerance 1e-14, with headroom).
+	gammaPRel = 1e-13
+	// chiErrBudget is the recurrence rounding a chiChain may accumulate
+	// before it re-seeds from GammaP, small against epsAbs so the value path
+	// still converges to its target.
+	chiErrBudget = epsAbs / 8
+	// logTiny is log(1e-304): below it h is kept in the log domain, where
+	// the multiplicative recurrence would underflow into denormals.
+	logTiny = -700.0
+	// tinyErr bounds the error one step charges for terms below e^logTiny
+	// and for subnormal rounding.
+	tinyErr = 1e-300
+)
+
+// chiChain walks the regularized lower incomplete gamma function
+// F = P(a, y) upward in the shape a by the recurrence
+//
+//	P(a + 1, y) = P(a, y) − h(a),   h(a) = yᵃ·e⁻ʸ / Γ(a + 1),
+//	h(a + 1) = h(a)·y / (a + 1),
+//
+// so each Ruben term costs a subtraction and a division instead of an
+// incomplete-gamma evaluation. err is a rigorous running bound on |F̂ − F|:
+// GammaP's accuracy at the seed, plus per step the rounding of the
+// subtraction (ulp·|F|) and the relative error of ĥ (relH·h), which grows by
+// 2·ulp per multiplication. The subtraction cancels once a ≫ y, so when the
+// accumulated error passes chiErrBudget the chain re-seeds from GammaP.
+type chiChain struct {
+	a, y, logY float64
+	f, err     float64
+	// h is h(a) when logH ≥ logTiny; relH bounds its relative error.
+	h, relH float64
+	// logH tracks log h(a) while h(a) would be subnormal, i.e. while
+	// y ≫ a: there F is flat to machine precision and only the moment h
+	// becomes representable matters.
+	logH float64
+	// seedErr is err right after the last seed; the chain re-seeds when
+	// err − seedErr exceeds chiErrBudget.
+	seedErr float64
+}
+
+// seed sets the chain to F = P(a, y) with a fresh GammaP evaluation.
+func (c *chiChain) seed(a, y float64) error {
+	f, err := stats.GammaP(a, y)
+	if err != nil {
+		return err
+	}
+	c.a, c.y, c.logY = a, y, math.Log(y)
+	lgA, _ := math.Lgamma(a)
+	// GammaP forms e^z with z = a·log y − y − lnΓ(a); the rounding of z
+	// (≈ ulp per unit of its terms' magnitudes) is a relative error of the
+	// prefactor. The series branch (y < a+1) carries it on P, the continued
+	// fraction on Q = 1 − P.
+	rel := gammaPRel + 4*ulp*(math.Abs(a*c.logY)+y+math.Abs(lgA)+1)
+	if y < a+1 {
+		c.err = rel*f + ulp
+	} else {
+		c.err = rel*(1-f) + ulp
+	}
+	c.f, c.seedErr = f, c.err
+	c.seedH()
+	return nil
+}
+
+// seedH sets h = h(a) from its closed form, or only logH while h(a) is below
+// e^logTiny.
+func (c *chiChain) seedH() {
+	lg1, _ := math.Lgamma(c.a + 1)
+	c.logH = c.a*c.logY - c.y - lg1
+	if c.logH < logTiny {
+		c.h = 0
+		return
+	}
+	c.h = math.Exp(c.logH)
+	c.relH = 4 * ulp * (math.Abs(c.a*c.logY) + c.y + math.Abs(lg1) + 1)
+}
+
+// next advances the chain from P(a, y) to P(a + 1, y).
+func (c *chiChain) next() error {
+	if c.err-c.seedErr > chiErrBudget {
+		return c.seed(c.a+1, c.y)
+	}
+	if c.h == 0 {
+		// h(a) < 1e-304: F moves by less than its own ulp (F ≥ h(a)), so
+		// only the error bound moves. log h grows by log(y/(a+1)); once it
+		// is representable, take h from its closed form.
+		c.err += tinyErr
+		c.a++
+		c.logH += c.logY - math.Log(c.a)
+		if c.logH >= logTiny {
+			c.seedH()
+		}
+		return nil
+	}
+	c.f -= c.h
+	c.err += (c.relH+ulp)*c.h + ulp*math.Abs(c.f) + tinyErr
+	c.a++
+	c.h *= c.y / c.a
+	c.relH += 2 * ulp
+	return nil
 }
 
 func clamp01(p float64) float64 {
@@ -188,6 +436,9 @@ type Exact struct {
 	scratch vecmat.Vector
 	u       vecmat.Vector
 	bBuf    []float64
+
+	// series holds the Ruben scratch buffers reused across candidates.
+	series series
 }
 
 // GaussDist is the subset of *gauss.Dist the evaluator needs; declared as an
@@ -234,19 +485,40 @@ func (e *Exact) ResetEvaluations() {
 // Qualification returns the exact probability Pr(‖x − o‖ ≤ delta) for
 // x ~ dist.
 func (e *Exact) Qualification(dist GaussDist, o vecmat.Vector, delta float64) (float64, error) {
-	p, _, err := e.QualificationBound(dist, o, delta)
-	return p, err
+	r, err := e.run(dist, o, delta, math.NaN())
+	return r.p, err
 }
 
 // QualificationBound is Qualification plus the certified truncation bound of
 // RubenCDFBound: the true probability lies in [p − bound, p + bound].
 func (e *Exact) QualificationBound(dist GaussDist, o vecmat.Vector, delta float64) (p, bound float64, err error) {
+	r, err := e.run(dist, o, delta, math.NaN())
+	return r.p, r.bound, err
+}
+
+// Decide answers the threshold question Pr(‖x − o‖ ≤ delta) ≥ theta for
+// x ~ dist without evaluating the probability to full precision: Ruben's
+// series stops as soon as its certified bracket clears theta by a fixed
+// guard, which for most candidates takes a fraction of the terms.
+//
+// certified reports that the bracket cleared. When it never does (the
+// probability lies within about 1e-9 of theta), the series runs to
+// convergence and qualifies falls back to the midpoint test p ≥ theta — the
+// answer Qualification would give. Every call counts as one evaluation.
+func (e *Exact) Decide(dist GaussDist, o vecmat.Vector, delta, theta float64) (qualifies, certified bool, err error) {
+	r, err := e.run(dist, o, delta, theta)
+	return r.qualifies, r.certified, err
+}
+
+// run transforms o into the eigenbasis of dist and runs the series; theta is
+// NaN for a value run.
+func (e *Exact) run(dist GaussDist, o vecmat.Vector, delta, theta float64) (seriesResult, error) {
 	d := dist.Dim()
 	if o.Dim() != d {
-		return 0, 0, fmt.Errorf("quadform: object dim %d vs distribution dim %d", o.Dim(), d)
+		return seriesResult{}, fmt.Errorf("quadform: object dim %d vs distribution dim %d", o.Dim(), d)
 	}
 	if delta <= 0 {
-		return 0, 0, fmt.Errorf("quadform: delta must be positive, got %g", delta)
+		return seriesResult{}, fmt.Errorf("quadform: delta must be positive, got %g", delta)
 	}
 	e.evalLocal++
 
@@ -267,5 +539,5 @@ func (e *Exact) QualificationBound(dist GaussDist, o vecmat.Vector, delta float6
 	for j := 0; j < d; j++ {
 		e.bBuf[j] = e.u[j] / math.Sqrt(e.lambda[j])
 	}
-	return RubenCDFBound(e.lambda, e.bBuf, delta*delta)
+	return e.series.run(e.lambda, e.bBuf, delta*delta, theta)
 }
