@@ -24,13 +24,16 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# fuzz-smoke runs the R*-tree fuzzers briefly — enough to catch invariant
-# regressions in insert/delete/rebuild and packed-vs-pointer search parity
+# fuzz-smoke runs the R*-tree and WAL decoder fuzzers briefly — enough to
+# catch invariant regressions in insert/delete/rebuild, packed-vs-pointer
+# search parity, and record/segment-header decoding of untrusted bytes
 # without a dedicated fuzz farm. `go test` accepts only one -fuzz target per
-# invocation, so the 10s budget is split across the two fuzzers.
+# invocation, so each fuzzer gets its own 5s run.
 fuzz-smoke:
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzTreeOps -fuzztime 5s
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 5s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRecord -fuzztime 5s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzSegmentHeader -fuzztime 5s
 
 # verify is the pre-merge gate: formatting, static analysis, and the
 # race-enabled test suite (the storage engine, plan cache, worker pools,

@@ -709,6 +709,45 @@ func BenchmarkQueryRepeated(b *testing.B) {
 	}
 }
 
+// BenchmarkCompile measures one plan-cache miss: DB.PlanRegion on an empty
+// database with the plan cache off pays the eigendecomposition, the R-R box
+// and the two BF radii (the noncentral-χ² root finds) and touches no point.
+// It covers the paper Σ at γ ∈ {1.5, 10, 100} and a rotated, anisotropic
+// covariance of the kind a Kalman posterior produces.
+func BenchmarkCompile(b *testing.B) {
+	base := experiments.PaperSigmaBase()
+	type covCase struct {
+		name string
+		cov  [][]float64
+	}
+	var cases []covCase
+	for _, gamma := range []float64{1.5, 10, 100} {
+		s := base.Scale(gamma)
+		cases = append(cases, covCase{fmt.Sprintf("paper-g%g", gamma),
+			[][]float64{{s.At(0, 0), s.At(0, 1)}, {s.At(1, 0), s.At(1, 1)}}})
+	}
+	// R(35°)·diag(42, 2.5)·Rᵗ: a posterior stretched along the heading.
+	c, sn := math.Cos(35*math.Pi/180), math.Sin(35*math.Pi/180)
+	l1, l2 := 42.0, 2.5
+	cases = append(cases, covCase{"kalman",
+		[][]float64{{l1*c*c + l2*sn*sn, (l1 - l2) * c * sn}, {(l1 - l2) * c * sn, l1*sn*sn + l2*c*c}}})
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			db, err := Open(2, WithPlanCacheSize(0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec := QuerySpec{Center: []float64{500, 500}, Cov: tc.cov, Delta: 25, Theta: 0.01}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := db.PlanRegion(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPhase3 compares the Phase-3 kernels on the paper's default 2-D
 // workload: per-candidate Monte Carlo (one stream per candidate) vs the
 // shared-sample cloud: flat, grid-indexed, and early-exit. 10 000 samples keep the naive

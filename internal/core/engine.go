@@ -346,11 +346,16 @@ func (e *Engine) bfRadii(q Query) (alphaUpper, alphaLower float64, empty bool, e
 // lower).
 func (e *Engine) bfAlpha(delta, tp float64, upper bool) (float64, error) {
 	if !e.opts.UseCatalogs {
-		nc, err := stats.NoncentralityForCDF(float64(e.idx.Dim()), delta*delta, tp)
+		// The certified bracket's conservative end: the larger offset for the
+		// pruning radius, the smaller for the acceptance radius.
+		lo, hi, err := stats.NoncentralityForCDF(float64(e.idx.Dim()), delta*delta, tp)
 		if err != nil {
 			return 0, err
 		}
-		return math.Sqrt(nc), nil
+		if upper {
+			return math.Sqrt(hi), nil
+		}
+		return math.Sqrt(lo), nil
 	}
 	e.catMu.Lock()
 	if e.opts.BFCatalog == nil {

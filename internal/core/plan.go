@@ -16,10 +16,11 @@ import (
 // Plan is a compiled query: everything derivable from (Σ, δ, θ, strategy)
 // alone — the eigensystem-dependent radii rθ, α∥, α⊥, the Phase-1 search
 // rectangle, the fringe geometry and the OR bounds — computed once by
-// Engine.Compile and reused across executions. Compilation is the expensive
-// part of a query after Phase 3 (eigendecomposition, noncentral-χ² root
-// finding), so standing queries (Monitor), repeated queries (plan caches)
-// and batches pay it once.
+// Engine.Compile and reused across executions. Compiling costs tens of
+// microseconds — ≈20 µs on a 2-vCPU VM for a 2-D Kalman posterior, three
+// quarters of it the two certified noncentral-χ² root finds for α∥ and α⊥
+// — and standing queries (Monitor), repeated queries (plan caches) and
+// batches pay it once.
 //
 // A Plan is immutable after compilation and safe for concurrent use as long
 // as each execution supplies its own evaluator (ExecuteWith) or the engine's

@@ -16,11 +16,10 @@ import (
 )
 
 const (
-	// tierEnvMargin pads the tier-1 envelope comparison against θ. The
-	// noncentral-χ² CDF is evaluated to ~1e-12 relative accuracy, so a 1e-9
-	// guard band keeps every envelope decision certified despite the CDF's
-	// own floating-point error; candidates inside the band fall through to
-	// the exact tier.
+	// tierEnvMargin pads the tier-1 envelope comparison against θ beyond the
+	// noncentral-χ² CDF's own certified bound, which covers its truncation
+	// and rounding; candidates inside the band fall through to the exact
+	// tier.
 	tierEnvMargin = 1e-9
 	// tierMaxCondition is the eigenvalue ratio λmax/λmin beyond which tier 2
 	// is skipped outright: Ruben's series converges like (1 − λmin/λmax)^k
@@ -202,21 +201,11 @@ func (p *Plan) tieredQualifies(o vecmat.Vector, w *tierScratch, st *PhaseStats) 
 		nc += yj * yj / te.lambda[j]
 	}
 	dof := float64(len(w.y))
-	pLow, err := stats.NoncentralChiSquareCDF(dof, nc, te.deltaSq/te.lamMax)
-	if err != nil {
+	if qual, decided, err := te.envelope(dof, nc); err != nil {
 		return false, err
-	}
-	if pLow >= te.theta+tierEnvMargin {
+	} else if decided {
 		st.TierEnvelope++
-		return true, nil
-	}
-	pHigh, err := stats.NoncentralChiSquareCDF(dof, nc, te.deltaSq/te.lamMin)
-	if err != nil {
-		return false, err
-	}
-	if pHigh < te.theta-tierEnvMargin {
-		st.TierEnvelope++
-		return false, nil
+		return qual, nil
 	}
 
 	// ---- Tier 2: Ruben series, stopped once its bracket settles θ --------
@@ -377,4 +366,30 @@ func (p *Plan) executeTieredParallel(ctx context.Context, snap *Snapshot, st *Ph
 	st.Answers = len(ids)
 	sortIDs(ids)
 	return &Result{IDs: ids, Stats: *st}, nil
+}
+
+// envelope decides a candidate whose squared Mahalanobis offset is nc from
+// the tier-1 bracket F(δ²/λmax) ≤ Pr ≤ F(δ²/λmin), comparing each end beyond
+// its certified error bound and the guard band. A CDF that cannot be
+// evaluated within its step budget (stats.ErrNotConverged, at extreme nc)
+// leaves the candidate undecided for the tiers below rather than failing the
+// query.
+func (te *TierEvaluator) envelope(dof, nc float64) (qual, decided bool, err error) {
+	pLow, bLow, err := stats.NoncentralChiSquareCDFBound(dof, nc, te.deltaSq/te.lamMax)
+	switch {
+	case errors.Is(err, stats.ErrNotConverged):
+		return false, false, nil
+	case err != nil:
+		return false, false, err
+	case pLow-bLow >= te.theta+tierEnvMargin:
+		return true, true, nil
+	}
+	pHigh, bHigh, err := stats.NoncentralChiSquareCDFBound(dof, nc, te.deltaSq/te.lamMin)
+	switch {
+	case errors.Is(err, stats.ErrNotConverged):
+		return false, false, nil
+	case err != nil:
+		return false, false, err
+	}
+	return false, pHigh+bHigh < te.theta-tierEnvMargin, nil
 }

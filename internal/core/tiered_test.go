@@ -361,3 +361,50 @@ func TestTieredEmptyPlan(t *testing.T) {
 		t.Errorf("empty plan returned %d ids", len(res.IDs))
 	}
 }
+
+// TestTieredExtremeConditionBounded: Σ = diag(1e9, 1e-9) puts the far point's
+// squared Mahalanobis offset at ≈1e9, where the noncentral-χ² envelope
+// either sweeps ≈1e6 recurrence steps or reports that it cannot evaluate.
+// The query must come back — answered, or with a typed error — within its
+// deadline plus a second, never hang in tier 1.
+func TestTieredExtremeConditionBounded(t *testing.T) {
+	ix, err := NewIndex([]vecmat.Vector{{0, 0}, {1, 1}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gauss.New(vecmat.Vector{0, 0}, vecmat.MustFromRows([][]float64{{1e9, 0}, {0, 1e-9}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Dist: g, Delta: 1, Theta: 0.01}
+	e := sharedEngine(t, ix, KernelTiered, 20000, 9)
+
+	const deadline = 3 * time.Second
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		plan, err := e.Compile(q, StrategyAll)
+		if err != nil {
+			done <- outcome{nil, err}
+			return
+		}
+		res, err := plan.ExecuteParallel(ctx, 1)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Logf("typed error after %v: %v", time.Since(start), o.err)
+		} else if tierSum(o.res.Stats) != o.res.Stats.Integrations {
+			t.Errorf("tier counters %+v do not sum to %d integrations", o.res.Stats, o.res.Stats.Integrations)
+		}
+	case <-time.After(deadline + time.Second):
+		t.Fatalf("tiered query still running %v past its %v deadline", time.Second, deadline)
+	}
+}

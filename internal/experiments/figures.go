@@ -121,18 +121,18 @@ func bfRadiiFor(g *gauss.Dist, delta, theta float64) (upper, lower float64, err 
 
 	tpPar := math.Pow(lamPar, d/2) * detHalf * theta
 	if tpPar < 1 {
-		nc, err := stats.NoncentralityForCDF(d, lamPar*delta*delta, tpPar)
+		_, hi, err := stats.NoncentralityForCDF(d, lamPar*delta*delta, tpPar)
 		if err == nil {
-			upper = math.Sqrt(nc) / math.Sqrt(lamPar)
+			upper = math.Sqrt(hi) / math.Sqrt(lamPar)
 		} else if !errors.Is(err, stats.ErrNoSolution) {
 			return 0, 0, err
 		}
 	}
 	tpPerp := math.Pow(lamPerp, d/2) * detHalf * theta
 	if tpPerp < 1 {
-		nc, err := stats.NoncentralityForCDF(d, lamPerp*delta*delta, tpPerp)
+		lo, _, err := stats.NoncentralityForCDF(d, lamPerp*delta*delta, tpPerp)
 		if err == nil {
-			lower = math.Sqrt(nc) / math.Sqrt(lamPerp)
+			lower = math.Sqrt(lo) / math.Sqrt(lamPerp)
 		} else if !errors.Is(err, stats.ErrNoSolution) {
 			return 0, 0, err
 		}

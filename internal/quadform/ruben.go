@@ -50,7 +50,7 @@ func RubenCDF(lambda, b []float64, t float64) (float64, error) {
 // each multiplies a χ² CDF no larger than the last one computed, so the
 // truncated tail is contained in [0, (1 − Σ aₖ)·F_k] and p is reported at the
 // interval midpoint. The bound also carries the tracked rounding error of the
-// χ² recurrence (see chiChain). Callers comparing p against a threshold θ can
+// χ² recurrence (see stats.ChiChain). Callers comparing p against a threshold θ can
 // therefore certify the comparison whenever |p − θ| > bound.
 func RubenCDFBound(lambda, b []float64, t float64) (p, bound float64, err error) {
 	var s series
@@ -160,13 +160,13 @@ func (s *series) run(lambda, b []float64, t, theta float64) (seriesResult, error
 	}
 	s.a = append(s.a[:0], a0)
 
-	var chi chiChain
-	if err := chi.seed(float64(d)/2, t/(2*beta)); err != nil {
+	var chi stats.ChiChain
+	if err := chi.Seed(float64(d)/2, t/(2*beta)); err != nil {
 		return seriesResult{}, err
 	}
 	var sum, sumErr, aSum float64
 	if logScale == 0 {
-		sum, sumErr, aSum = a0*chi.f, a0*chi.err, a0
+		sum, sumErr, aSum = a0*chi.F(), a0*chi.Err(), a0
 	}
 
 	for k := 0; ; k++ {
@@ -187,13 +187,13 @@ func (s *series) run(lambda, b []float64, t, theta float64) (seriesResult, error
 				ak = s.unscale(&logScale)
 			}
 
-			if err := chi.next(); err != nil {
+			if err := chi.Next(chiErrBudget); err != nil {
 				return seriesResult{}, err
 			}
 			if logScale == 0 {
 				aSum += ak
-				sum += ak * chi.f
-				sumErr += ak * chi.err
+				sum += ak * chi.F()
+				sumErr += ak * chi.Err()
 			}
 		}
 
@@ -203,7 +203,7 @@ func (s *series) run(lambda, b []float64, t, theta float64) (seriesResult, error
 		if rest < 0 { // rounding can push aSum past 1
 			rest = 0
 		}
-		tail := rest * (chi.f + chi.err)
+		tail := rest * (chi.F() + chi.Err())
 		if decide {
 			if sum-sumErr >= theta+decideGuard {
 				return seriesResult{qualifies: true, certified: true}, nil
@@ -293,111 +293,10 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-const (
-	// ulp is 2⁻⁵², twice the unit roundoff: charging it per floating-point
-	// operation leaves room for the second-order terms of the error model.
-	ulp = 0x1p-52
-	// gammaPRel is the relative accuracy assumed of stats.GammaP's series
-	// and continued fraction (tolerance 1e-14, with headroom).
-	gammaPRel = 1e-13
-	// chiErrBudget is the recurrence rounding a chiChain may accumulate
-	// before it re-seeds from GammaP, small against epsAbs so the value path
-	// still converges to its target.
-	chiErrBudget = epsAbs / 8
-	// logTiny is log(1e-304): below it h is kept in the log domain, where
-	// the multiplicative recurrence would underflow into denormals.
-	logTiny = -700.0
-	// tinyErr bounds the error one step charges for terms below e^logTiny
-	// and for subnormal rounding.
-	tinyErr = 1e-300
-)
-
-// chiChain walks the regularized lower incomplete gamma function
-// F = P(a, y) upward in the shape a by the recurrence
-//
-//	P(a + 1, y) = P(a, y) − h(a),   h(a) = yᵃ·e⁻ʸ / Γ(a + 1),
-//	h(a + 1) = h(a)·y / (a + 1),
-//
-// so each Ruben term costs a subtraction and a division instead of an
-// incomplete-gamma evaluation. err is a rigorous running bound on |F̂ − F|:
-// GammaP's accuracy at the seed, plus per step the rounding of the
-// subtraction (ulp·|F|) and the relative error of ĥ (relH·h), which grows by
-// 2·ulp per multiplication. The subtraction cancels once a ≫ y, so when the
-// accumulated error passes chiErrBudget the chain re-seeds from GammaP.
-type chiChain struct {
-	a, y, logY float64
-	f, err     float64
-	// h is h(a) when logH ≥ logTiny; relH bounds its relative error.
-	h, relH float64
-	// logH tracks log h(a) while h(a) would be subnormal, i.e. while
-	// y ≫ a: there F is flat to machine precision and only the moment h
-	// becomes representable matters.
-	logH float64
-	// seedErr is err right after the last seed; the chain re-seeds when
-	// err − seedErr exceeds chiErrBudget.
-	seedErr float64
-}
-
-// seed sets the chain to F = P(a, y) with a fresh GammaP evaluation.
-func (c *chiChain) seed(a, y float64) error {
-	f, err := stats.GammaP(a, y)
-	if err != nil {
-		return err
-	}
-	c.a, c.y, c.logY = a, y, math.Log(y)
-	lgA, _ := math.Lgamma(a)
-	// GammaP forms e^z with z = a·log y − y − lnΓ(a); the rounding of z
-	// (≈ ulp per unit of its terms' magnitudes) is a relative error of the
-	// prefactor. The series branch (y < a+1) carries it on P, the continued
-	// fraction on Q = 1 − P.
-	rel := gammaPRel + 4*ulp*(math.Abs(a*c.logY)+y+math.Abs(lgA)+1)
-	if y < a+1 {
-		c.err = rel*f + ulp
-	} else {
-		c.err = rel*(1-f) + ulp
-	}
-	c.f, c.seedErr = f, c.err
-	c.seedH()
-	return nil
-}
-
-// seedH sets h = h(a) from its closed form, or only logH while h(a) is below
-// e^logTiny.
-func (c *chiChain) seedH() {
-	lg1, _ := math.Lgamma(c.a + 1)
-	c.logH = c.a*c.logY - c.y - lg1
-	if c.logH < logTiny {
-		c.h = 0
-		return
-	}
-	c.h = math.Exp(c.logH)
-	c.relH = 4 * ulp * (math.Abs(c.a*c.logY) + c.y + math.Abs(lg1) + 1)
-}
-
-// next advances the chain from P(a, y) to P(a + 1, y).
-func (c *chiChain) next() error {
-	if c.err-c.seedErr > chiErrBudget {
-		return c.seed(c.a+1, c.y)
-	}
-	if c.h == 0 {
-		// h(a) < 1e-304: F moves by less than its own ulp (F ≥ h(a)), so
-		// only the error bound moves. log h grows by log(y/(a+1)); once it
-		// is representable, take h from its closed form.
-		c.err += tinyErr
-		c.a++
-		c.logH += c.logY - math.Log(c.a)
-		if c.logH >= logTiny {
-			c.seedH()
-		}
-		return nil
-	}
-	c.f -= c.h
-	c.err += (c.relH+ulp)*c.h + ulp*math.Abs(c.f) + tinyErr
-	c.a++
-	c.h *= c.y / c.a
-	c.relH += 2 * ulp
-	return nil
-}
+// chiErrBudget is the recurrence rounding the χ² chain may accumulate
+// before it re-seeds from GammaP, small against epsAbs so the value path
+// still converges to its target.
+const chiErrBudget = epsAbs / 8
 
 func clamp01(p float64) float64 {
 	if p < 0 {

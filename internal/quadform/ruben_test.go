@@ -616,40 +616,6 @@ func TestRubenLargeOffset(t *testing.T) {
 	}
 }
 
-// TestChiChainCertified walks the χ² recurrence far past where it cancels or
-// underflows — small y (every term cancels), y ≫ a (h starts below the
-// double range and is tracked in the log domain) — and checks every step
-// against a fresh GammaP within the chain's running error bound.
-func TestChiChainCertified(t *testing.T) {
-	for _, a0 := range []float64{0.5, 1, 2.5, 4.5} {
-		for _, y := range []float64{1e-3, 0.7, 12, 150, 800, 3000} {
-			var c chiChain
-			if err := c.seed(a0, y); err != nil {
-				t.Fatal(err)
-			}
-			for k := 0; k < 4000; k++ {
-				want, err := stats.GammaP(a0+float64(k), y)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// 2e-13·want stands for the reference's own accuracy.
-				if diff := math.Abs(c.f - want); diff > c.err+2e-13*want {
-					t.Fatalf("a0=%g y=%g k=%d: F=%.17g GammaP=%.17g |diff| %g > bound %g",
-						a0, y, k, c.f, want, diff, c.err)
-				}
-				// Re-seeding keeps the bound well below the guard; at y = 3000
-				// it is GammaP's own prefactor rounding, ≈1e-11.
-				if c.err > 1e-10 {
-					t.Fatalf("a0=%g y=%g k=%d: error bound %g grew unbounded", a0, y, k, c.err)
-				}
-				if err := c.next(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
 // TestDecideTrivialCases covers the exits before the series: t ≤ 0 is an
 // exact 0 and t = +Inf an exact 1; a far candidate is rejected on the first
 // term.

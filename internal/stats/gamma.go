@@ -14,11 +14,17 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
 // ErrDomain is returned when an argument is outside a function's domain.
 var ErrDomain = errors.New("stats: argument outside domain")
+
+// ErrNotConverged is returned when a series, continued fraction or sweep
+// would need more iterations than its bound allows. No value is returned in
+// that case: a truncated one could be arbitrarily wrong.
+var ErrNotConverged = errors.New("stats: evaluation did not converge")
 
 const (
 	// epsRel is the target relative accuracy of the series and continued
@@ -89,18 +95,29 @@ func gammaPSeries(a, x float64) (float64, error) {
 			return sum * math.Exp(-x+a*math.Log(x)-lg), nil
 		}
 	}
-	return 0, errors.New("stats: incomplete gamma series did not converge")
+	return 0, fmt.Errorf("%w: incomplete gamma series at a=%g, x=%g", ErrNotConverged, a, x)
 }
 
 // gammaQContinuedFraction evaluates Q(a,x) by the Lentz continued fraction,
 // accurate for x ≥ a+1.
 func gammaQContinuedFraction(a, x float64) (float64, error) {
-	const tiny = 1e-300
 	lg, _ := math.Lgamma(a)
+	h, _, err := gammaCF(a, x, epsRel)
+	if err != nil {
+		return 0, err
+	}
+	return math.Exp(-x+a*math.Log(x)-lg) * h, nil
+}
+
+// gammaCF returns C with Q(a,x) = C·xᵃe⁻ˣ/Γ(a): the Lentz continued
+// fraction without its prefactor, run until a step changes it by less than
+// tol, and the number of iterations that took.
+func gammaCF(a, x, tol float64) (h float64, iters int, err error) {
+	const tiny = 1e-300
 	b := x + 1 - a
 	c := 1 / tiny
 	d := 1 / b
-	h := d
+	h = d
 	for i := 1; i <= maxIter; i++ {
 		an := -float64(i) * (float64(i) - a)
 		b += 2
@@ -115,11 +132,94 @@ func gammaQContinuedFraction(a, x float64) (float64, error) {
 		d = 1 / d
 		del := d * c
 		h *= del
-		if math.Abs(del-1) < epsRel {
-			return math.Exp(-x+a*math.Log(x)-lg) * h, nil
+		if math.Abs(del-1) < tol {
+			return h, i, nil
 		}
 	}
-	return 0, errors.New("stats: incomplete gamma continued fraction did not converge")
+	return 0, 0, fmt.Errorf("%w: incomplete gamma continued fraction at a=%g, x=%g", ErrNotConverged, a, x)
+}
+
+// gammaSeriesCertified is the power series of P(a,x) without its prefactor
+// xᵃe⁻ˣ/Γ(a), for the noncentral sweep's seed: unlike gammaPSeries it stops
+// only once the geometric bound on the series' tail,
+// del·r/(1 − r) with r = x/(a + i + 1) < 1, drops below the unit roundoff,
+// and it returns a bound on the sum's relative error — the tail plus three
+// roundings per term (the ratio, the product, the addition).
+func gammaSeriesCertified(a, x float64) (sum, rel float64, err error) {
+	ap := a
+	sum = 1 / a
+	del := sum
+	for i := 1; i <= maxIter; i++ {
+		ap++
+		del *= x / ap
+		sum += del
+		// del·r/(1 − r) with r = x/(ap + 1), free of divisions.
+		if del*x < 0x1p-54*sum*(ap+1-x) {
+			return sum, (3*float64(i) + 2) * ulp / 2, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("%w: incomplete gamma series at a=%g, x=%g", ErrNotConverged, a, x)
+}
+
+// saddleMinA is the shape from which logGammaPrefactor switches to the
+// saddle-point form; the Stirling series is accurate to 3e-16 there.
+const saddleMinA = 15
+
+// logGammaPrefactor returns z = a·log x − x − lnΓ(a), the log of the
+// prefactor xᵃe⁻ˣ/Γ(a) shared by P(a,x) and Q(a,x), with a bound on its
+// absolute error. Summed directly its terms reach a·log x and lnΓ(a), so at
+// a ≈ x ≈ 1e5 the rounding alone is ≈1e-10. From a = saddleMinA on it uses
+// Loader's saddle-point form
+//
+//	z = ½·log(a/2π) − stirlerr(a) − bd0(a, x),  bd0(a, x) = a·log(a/x) + x − a,
+//
+// whose terms are no larger than z itself.
+func logGammaPrefactor(a, x float64) (z, zErr float64) {
+	if a < saddleMinA {
+		lg, _ := math.Lgamma(a)
+		z = a*math.Log(x) - x - lg
+		return z, 4 * ulp * (math.Abs(a*math.Log(x)) + x + math.Abs(lg) + 1)
+	}
+	d, dErr := bd0(a, x)
+	half := 0.5 * math.Log(a/(2*math.Pi))
+	z = half - stirlerr(a) - d
+	return z, dErr + 4*ulp*(math.Abs(half)+math.Abs(z)+1)
+}
+
+// stirlerr returns lnΓ(a) − ((a − ½)·log a − a + ½·log 2π) for a ≥ 15 by its
+// asymptotic series, whose first omitted term is below 3e-16 there.
+func stirlerr(a float64) float64 {
+	const (
+		s0 = 1.0 / 12
+		s1 = 1.0 / 360
+		s2 = 1.0 / 1260
+		s3 = 1.0 / 1680
+		s4 = 1.0 / 1188
+	)
+	r := 1 / (a * a)
+	return (s0 - (s1-(s2-(s3-s4*r)*r)*r)*r) / a
+}
+
+// bd0 returns a·log(a/x) + x − a ≥ 0 with a bound on its absolute error.
+// Near a = x the difference cancels, so there it sums Loader's series in
+// v = (a − x)/(a + x): bd0 = (a − x)·v + 2a·(v³/3 + v⁵/5 + …).
+func bd0(a, x float64) (float64, float64) {
+	if math.Abs(a-x) < 0.1*(a+x) {
+		v := (a - x) / (a + x)
+		s := (a - x) * v
+		ej := 2 * a * v
+		v2 := v * v
+		for j := 1; j < 1000; j++ {
+			ej *= v2
+			s1 := s + ej/float64(2*j+1)
+			if s1 == s {
+				return s, 8 * ulp * (s + math.Abs(a-x)*math.Abs(v))
+			}
+			s = s1
+		}
+	}
+	l := a * math.Log(a/x)
+	return l + x - a, 4 * ulp * (math.Abs(l) + x + a)
 }
 
 // GammaPInv returns x such that P(a, x) = p, for a > 0 and 0 ≤ p < 1.

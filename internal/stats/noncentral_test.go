@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -138,11 +140,11 @@ func TestNoncentralityForCDF(t *testing.T) {
 		if p <= 1e-14 || p >= 1-1e-14 {
 			continue
 		}
-		got, err := NoncentralityForCDF(k, x, p)
+		lo, hi, err := NoncentralityForCDF(k, x, p)
 		if err != nil {
 			t.Fatalf("k=%g x=%g p=%g: %v", k, x, p, err)
 		}
-		if math.Abs(got-lam) > 1e-6*(1+lam) {
+		if got := (lo + hi) / 2; math.Abs(got-lam) > 1e-6*(1+lam) {
 			t.Errorf("invert k=%g x=%g: λ = %g, want %g", k, x, got, lam)
 		}
 	}
@@ -154,13 +156,13 @@ func TestNoncentralityForCDFNoSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NoncentralityForCDF(2, 1, f0*1.01); err == nil {
+	if _, _, err := NoncentralityForCDF(2, 1, f0*1.01); err == nil {
 		t.Error("unreachable probability did not error")
 	}
-	if _, err := NoncentralityForCDF(2, 0, 0.5); err == nil {
+	if _, _, err := NoncentralityForCDF(2, 0, 0.5); err == nil {
 		t.Error("x=0 did not error")
 	}
-	if _, err := NoncentralityForCDF(2, 1, 0); err == nil {
+	if _, _, err := NoncentralityForCDF(2, 1, 0); err == nil {
 		t.Error("p=0 did not error")
 	}
 }
@@ -187,5 +189,142 @@ func TestPoissonPMF(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("Σ PMF = %g, want 1", sum)
+	}
+}
+
+// referenceTol bounds noncentralReference's own error: it forms its modal
+// Poisson weight and every χ² term from exponentials of lgamma-sized sums,
+// whose rounding grows with λ and x.
+func referenceTol(lambda, x, f float64) float64 {
+	mag := func(v float64) float64 { return v * (1 + math.Abs(math.Log(v))) }
+	return 1e-13*f + 1e-16 + 8*ulp*(mag(lambda/2+1)+mag(x/2+1))*f
+}
+
+// TestNoncentralCertifiedProperty checks the certified sweep and the Newton
+// solver against the reference over k ∈ {2, 3, 5, 9}, λ ∈ [0, 1e5] and
+// p ∈ [1e-6, 0.999]: every value lies within its own bound of the
+// reference, every bracket satisfies F(hi) ≤ p ≤ F(lo), and the bracket is
+// at most 1e-12·max(hi, 1) wide — or, where the CDF's certified bound cannot
+// resolve the root that finely, no wider than a few times the bound's own
+// width in λ (a certified bracket cannot be narrower than four).
+func TestNoncentralCertifiedProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	zLo, _ := NormalQuantile(1e-6)
+	zHi, _ := NormalQuantile(0.999)
+	cases, wide := 0, 0
+	for cases < 400 {
+		k := []float64{2, 3, 5, 9}[rng.Intn(4)]
+		lam := 0.0
+		if rng.Intn(10) > 0 {
+			lam = math.Pow(10, -3+8*rng.Float64())
+		}
+		z := zLo + (zHi-zLo)*rng.Float64()
+		x := k + lam + z*math.Sqrt(2*k+4*lam)
+		if x <= 0 {
+			continue
+		}
+		p, err := noncentralReference(k, lam, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p < 1e-6 || p > 0.999 {
+			continue
+		}
+		cases++
+
+		r, err := noncentralSweep(k, lam, x)
+		if err != nil {
+			t.Fatalf("k=%g λ=%g x=%g: %v", k, lam, x, err)
+		}
+		if diff := math.Abs(r.f - p); diff > r.bound+referenceTol(lam, x, p) {
+			t.Errorf("k=%g λ=%g x=%g: F=%.17g ± %.3g, reference %.17g (diff %.3g)", k, lam, x, r.f, r.bound, p, diff)
+		}
+		if r.bound > 1e-9*math.Min(p, 1-p) {
+			t.Errorf("k=%g λ=%g x=%g: bound %.3g is loose at F=%g", k, lam, x, r.bound, p)
+		}
+
+		lo, hi, err := NoncentralityForCDF(k, x, p)
+		if err != nil {
+			t.Fatalf("k=%g x=%g p=%g: %v", k, x, p, err)
+		}
+		fLo, _ := noncentralReference(k, lo, x)
+		fHi, _ := noncentralReference(k, hi, x)
+		if fHi > p+referenceTol(hi, x, p) || fLo < p-referenceTol(lo, x, p) {
+			t.Errorf("k=%g x=%g p=%.17g: bracket [%.17g, %.17g] has F(hi)=%.17g, F(lo)=%.17g", k, x, p, lo, hi, fHi, fLo)
+		}
+		if width := hi - lo; width > bracketRel*math.Max(hi, 1) {
+			wide++
+			// The ambiguity interval: where F lies within its bound of p.
+			at, _ := noncentralSweep(k, (lo+hi)/2, x)
+			amb := at.bound / -at.dF
+			if width > 6*amb {
+				t.Errorf("k=%g x=%g p=%g: bracket width %.3g exceeds 1e-12·max(hi,1) and 6× the bound's width %.3g",
+					k, x, p, width, amb)
+			}
+		}
+	}
+	t.Logf("%d cases, %d brackets wider than 1e-12·max(hi,1) (limited by the CDF's certified bound)", cases, wide)
+}
+
+// BenchmarkNoncentralCDF times one certified sweep at the mode (x = λ + k,
+// F ≈ ½), where both directions run their full O(√λ) course.
+func BenchmarkNoncentralCDF(b *testing.B) {
+	for _, lam := range []float64{10, 1e3, 1e6} {
+		b.Run(fmt.Sprintf("lambda=%g", lam), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := NoncentralChiSquareCDF(2, lam, lam+2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestNoncentralLargeLambda covers the regime the old sweep got wrong or
+// could not finish: at λ = 1e8, x = 1.001e8 (z ≈ 5) the true CDF is
+// 1 − 2.9e-7, so the value must read ≥ 1 − 1e-6 within its bound, or the
+// call must fail with ErrNotConverged. Values at λ ∈ [1e3, 1e5] are checked
+// against 40-digit Poisson-mixture sums (mpmath), two of them on both sides
+// of the p = 0.999 root at x = 1e5, where the old sweep was off by 7e-11.
+func TestNoncentralLargeLambda(t *testing.T) {
+	p, bound, err := NoncentralChiSquareCDFBound(2, 1e8, 1.001e8)
+	switch {
+	case errors.Is(err, ErrNotConverged):
+	case err != nil:
+		t.Fatalf("λ=1e8: %v, want a value or ErrNotConverged", err)
+	case p-bound < 1-1e-6:
+		t.Errorf("λ=1e8 x=1.001e8: F = %.12g ± %.3g, want ≥ 1 − 1e-6", p, bound)
+	}
+	for _, c := range []struct{ k, lam, x, want float64 }{
+		{2, 98054.1199183141, 1e5, 0.99900000000268114383},
+		{2, 98054.119919772595, 1e5, 0.99899999999483970779},
+		{2, 1e4, 1e4, 0.49800526366269763395},
+		{5, 1000, 1100, 0.93079142105797713282},
+		{9, 1e5, 100300, 0.67772508045812199109},
+	} {
+		p, bound, err := NoncentralChiSquareCDFBound(c.k, c.lam, c.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(p-c.want) > bound || bound > 1e-11 {
+			t.Errorf("F(%g; %g, %.17g) = %.17g ± %.3g, want %.17g", c.x, c.k, c.lam, p, bound, c.want)
+		}
+	}
+}
+
+// TestNoncentralSweepSteps: the sweep does O(√λ) recurrence steps — at
+// λ = 1e6 at most 16·√λ in the body of the distribution, where the old
+// sweep took 76 ms.
+func TestNoncentralSweepSteps(t *testing.T) {
+	const lam = 1e6
+	for _, z := range []float64{-5, 0, 5} {
+		x := lam + 2 + z*math.Sqrt(4*lam+4)
+		r, err := noncentralSweep(2, lam, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := 16 * math.Sqrt(lam); float64(r.steps) > limit {
+			t.Errorf("z=%g: %d sweep steps, want ≤ %.0f", z, r.steps, limit)
+		}
 	}
 }

@@ -182,14 +182,14 @@ func NewBFCatalog(d int, deltaGrid, thetaGrid []float64) (*BFCatalog, error) {
 			if th <= 0 || th >= 1 {
 				return nil, fmt.Errorf("ucatalog: probability grid value %g outside (0, 1)", th)
 			}
-			nc, err := stats.NoncentralityForCDF(float64(d), delta*delta, th)
+			lo, hi, err := stats.NoncentralityForCDF(float64(d), delta*delta, th)
 			if errors.Is(err, stats.ErrNoSolution) {
 				continue
 			}
 			if err != nil {
 				return nil, err
 			}
-			c.entries = append(c.entries, BFEntry{Delta: delta, Theta: th, Alpha: math.Sqrt(nc)})
+			c.entries = append(c.entries, BFEntry{Delta: delta, Theta: th, Alpha: math.Sqrt((lo + hi) / 2)})
 		}
 	}
 	if len(c.entries) == 0 {
@@ -259,9 +259,9 @@ func (c *BFCatalog) ExactAlpha(delta, theta float64) (float64, error) {
 	if delta <= 0 || theta <= 0 || theta >= 1 {
 		return 0, fmt.Errorf("ucatalog: invalid BF query (δ=%g, θ=%g)", delta, theta)
 	}
-	nc, err := stats.NoncentralityForCDF(float64(c.dim), delta*delta, theta)
+	lo, hi, err := stats.NoncentralityForCDF(float64(c.dim), delta*delta, theta)
 	if err != nil {
 		return 0, err
 	}
-	return math.Sqrt(nc), nil
+	return math.Sqrt((lo + hi) / 2), nil
 }

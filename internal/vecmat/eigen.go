@@ -25,6 +25,10 @@ type Eigen struct {
 // input (e.g. NaN entries), not a tolerance issue for well-formed matrices.
 var ErrNotConverged = errors.New("vecmat: Jacobi eigendecomposition did not converge")
 
+// ErrRange is returned when a finite matrix has eigenvalues beyond the
+// float64 range, or entries so close to it that the rotations overflow.
+var ErrRange = errors.New("vecmat: eigenvalues beyond the float64 range")
+
 // maxJacobiSweeps bounds the number of full Jacobi sweeps. Symmetric matrices
 // of the dimensions used here (< 64) converge in well under 20 sweeps.
 const maxJacobiSweeps = 64
@@ -44,16 +48,23 @@ func EigenDecompose(m *Symmetric) (*Eigen, error) {
 		return &Eigen{Values: []float64{a.At(0, 0)}, Vectors: e}, nil
 	}
 
-	// Frobenius-norm based convergence threshold.
-	var fro float64
+	// Frobenius-norm based convergence threshold. The sum of squares is
+	// taken over entries scaled by the largest magnitude, so finite entries
+	// up to the float64 limit neither overflow it nor underflow it.
+	var scale float64
 	for _, v := range a.data {
-		fro += v * v
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("vecmat: eigendecomposition of non-finite matrix")
+		}
+		scale = math.Max(scale, math.Abs(v))
 	}
-	fro = math.Sqrt(fro)
-	if math.IsNaN(fro) || math.IsInf(fro, 0) {
-		return nil, fmt.Errorf("vecmat: eigendecomposition of non-finite matrix")
+	var sum float64
+	if scale > 0 {
+		for _, v := range a.data {
+			sum += (v / scale) * (v / scale)
+		}
 	}
-	tol := 1e-14 * math.Max(fro, 1)
+	tol := math.Max(1e-14*scale*math.Sqrt(sum), 1e-14)
 
 	for sweep := 0; sweep < maxJacobiSweeps; sweep++ {
 		off, _, _ := a.MaxAbsOffDiag()
@@ -61,6 +72,9 @@ func EigenDecompose(m *Symmetric) (*Eigen, error) {
 			vals := make([]float64, d)
 			for i := 0; i < d; i++ {
 				vals[i] = a.At(i, i)
+				if math.IsInf(vals[i], 0) || math.IsNaN(vals[i]) {
+					return nil, ErrRange
+				}
 			}
 			return sortEigen(vals, e), nil
 		}

@@ -1,6 +1,7 @@
 package vecmat
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -96,6 +97,33 @@ func TestEigenPairsProperty(t *testing.T) {
 				t.Errorf("trial %d d=%d: eigenpair %d fails M·v=λ·v", trial, d, k)
 			}
 		}
+	}
+}
+
+// TestEigenHugeFinite: entries near 1e300 square past the float64 range, so
+// a Frobenius norm summed from raw squares overflows and such a finite Σ was
+// rejected as non-finite. It must decompose; entries at the very top of the
+// range must decompose or fail with ErrRange.
+func TestEigenHugeFinite(t *testing.T) {
+	eig, err := EigenDecompose(MustFromRows([][]float64{{1e300, 5e299}, {5e299, 1e300}}))
+	if err != nil {
+		t.Fatalf("1e300 matrix: %v", err)
+	}
+	for i, want := range []float64{5e299, 1.5e300} {
+		if math.Abs(eig.Values[i]-want) > 1e-12*want {
+			t.Errorf("eigenvalue %d = %g, want %g", i, eig.Values[i], want)
+		}
+	}
+	eig, err = EigenDecompose(MustFromRows([][]float64{{1.7e308, 1.6e308}, {1.6e308, 1.7e308}}))
+	switch {
+	case errors.Is(err, ErrRange):
+	case err != nil:
+		t.Errorf("1.7e308 matrix: error %v, want nil or ErrRange", err)
+	case math.Abs(eig.Values[0]-1e307) > 1e-9*1e307:
+		t.Errorf("1.7e308 matrix: eigenvalues %v, want 1e307 and beyond range", eig.Values)
+	}
+	if _, err := EigenDecompose(Diagonal(1e-300, 1e300)); err != nil {
+		t.Errorf("diag(1e-300, 1e300): %v", err)
 	}
 }
 

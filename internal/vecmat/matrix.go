@@ -64,8 +64,8 @@ func FromRows(rows [][]float64) (*Symmetric, error) {
 			if math.Abs(a-b) > 1e-12*math.Max(scale, 1) {
 				return nil, fmt.Errorf("vecmat: matrix not symmetric at (%d,%d): %g vs %g", i, j, a, b)
 			}
-			avg := (a + b) / 2
-			m.Set(i, j, avg)
+			// a/2 + b/2 rounds as (a + b)/2 does but cannot overflow.
+			m.Set(i, j, a/2+b/2)
 		}
 	}
 	return m, nil

@@ -126,6 +126,25 @@ func (c Codec) Append(dst []byte, rec Record, chain uint32) ([]byte, uint32, err
 	return dst, sum, nil
 }
 
+// eagerPayload is the payload size Read allocates up front. A larger claim
+// (up to MaxBatch points) is read as the bytes arrive, so a corrupt header
+// cannot make Read allocate far beyond the data actually present.
+const eagerPayload = 1 << 20
+
+// readPayload reads exactly n bytes from br.
+func readPayload(br *bufio.Reader, n int) ([]byte, error) {
+	if n <= eagerPayload {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(br, buf)
+		return buf, err
+	}
+	buf, err := io.ReadAll(io.LimitReader(br, int64(n)))
+	if err == nil && len(buf) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf, err
+}
+
 // Read decodes one record from br, verifying its (possibly chained) CRC.
 // It returns the record, the bytes consumed, and the record's CRC (the next
 // chain value). Errors: io.EOF at a clean record boundary, ErrTorn for an
@@ -150,8 +169,8 @@ func (c Codec) Read(br *bufio.Reader, chain uint32) (Record, int64, uint32, erro
 	if explicit {
 		nIDs = int(nIns)
 	}
-	payload := make([]byte, 8*int(nIns)*c.Dim+8*int(nDel)+8*nIDs)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := readPayload(br, 8*int(nIns)*c.Dim+8*int(nDel)+8*nIDs)
+	if err != nil {
 		return Record{}, 0, 0, ErrTorn
 	}
 	var crcBuf [4]byte
